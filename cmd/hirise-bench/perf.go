@@ -78,7 +78,8 @@ func perfSuite() []struct {
 			}
 			return sw
 		})},
-		{"fabric/DragonflySaturation/routers=72", perfFabric()},
+		{"fabric/DragonflySaturation/routers=72", perfFabric(perfDragonfly)},
+		{"fabric/MeshSaturation/routers=256", perfFabric(perfMesh)},
 	}
 }
 
@@ -213,22 +214,33 @@ func measureCampaigns() ([]perfResult, error) {
 	return out, nil
 }
 
-// perfFabric benchmarks one saturated steady-state fabric simulation per
-// op: a 72-router dragonfly (9 groups x 8 routers, 144 cores) under
-// fully-backlogged uniform traffic, 200 warmup + 800 measured cycles.
-// This is the multi-switch routing/credit hot loop end to end — route
-// computation, VC-band credit scans, arbitration, and link transfers at
-// every router every cycle.
-func perfFabric() func(b *testing.B) {
+// The saturated fabric shapes: a 72-router dragonfly (9 groups x 8
+// routers, 144 cores) and the fabric campaign's long pole, a 16x16 mesh
+// with 4 cores per router (1024 cores).
+var (
+	perfDragonfly = fabric.Dragonfly{Groups: 9, GroupSize: 8, GlobalPorts: 1, Conc: 2, Lanes: 1}
+	perfMesh      = fabric.Mesh{W: 16, H: 16, Conc: 4, Lanes: 1}
+)
+
+// perfFabricConfig is one saturated steady-state run on topo: fully
+// backlogged uniform traffic, 200 warmup + 800 measured cycles.
+func perfFabricConfig(topo fabric.Topology) fabric.Config {
+	return fabric.Config{
+		Topo: topo, Routing: fabric.Minimal,
+		Traffic: traffic.Uniform{Radix: topo.Nodes() * topo.Concentration()},
+		Load:    1.0, Warmup: 200, Measure: 800,
+	}
+}
+
+// perfFabric benchmarks one saturated fabric simulation per op, setup
+// included. This is the multi-switch routing/credit hot loop end to end
+// — route lookup, VC-mask credit checks, arbitration, and link
+// transfers at every router every cycle.
+func perfFabric(topo fabric.Topology) func(b *testing.B) {
 	return func(b *testing.B) {
-		d := fabric.Dragonfly{Groups: 9, GroupSize: 8, GlobalPorts: 1, Conc: 2, Lanes: 1}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := fabric.Run(fabric.Config{
-				Topo: d, Routing: fabric.Minimal,
-				Traffic: traffic.Uniform{Radix: d.Nodes() * d.Conc},
-				Load:    1.0, Warmup: 200, Measure: 800,
-			}); err != nil {
+			if _, err := fabric.Run(perfFabricConfig(topo)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -10,7 +10,6 @@ import (
 	"github.com/reprolab/hirise/internal/fabric"
 	"github.com/reprolab/hirise/internal/sim"
 	"github.com/reprolab/hirise/internal/topo"
-	"github.com/reprolab/hirise/internal/traffic"
 )
 
 // runPGOProfile executes a representative slice of the simulator's hot
@@ -24,8 +23,9 @@ import (
 // compiler optimizes for the same mix CI and users run: the batched and
 // sequential campaign arms on the stock LRG crossbar (the fused lean
 // loop and sim.Run's phase loop), the Hi-Rise CLRG switch through the
-// batch engine's generic backend (core.Arbitrate), and one saturated
-// dragonfly fabric run (routing, credits, and VC arbitration).
+// batch engine's generic backend (core.Arbitrate), and saturated
+// dragonfly and 16x16 mesh fabric runs (route tables, VC-mask credits,
+// and VC arbitration).
 func runPGOProfile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -88,12 +88,12 @@ func pgoWorkload() error {
 		}
 	}
 
-	// Saturated dragonfly fabric: the multi-switch hot loop.
-	d := fabric.Dragonfly{Groups: 9, GroupSize: 8, GlobalPorts: 1, Conc: 2, Lanes: 1}
-	_, err := fabric.Run(fabric.Config{
-		Topo: d, Routing: fabric.Minimal,
-		Traffic: traffic.Uniform{Radix: d.Nodes() * d.Conc},
-		Load:    1.0, Warmup: 200, Measure: 800,
-	})
-	return err
+	// Saturated fabrics: the multi-switch hot loop, on the dragonfly
+	// and on the fabric campaign's long-pole mesh.
+	for _, t := range []fabric.Topology{perfDragonfly, perfMesh} {
+		if _, err := fabric.Run(perfFabricConfig(t)); err != nil {
+			return err
+		}
+	}
+	return nil
 }

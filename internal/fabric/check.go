@@ -21,16 +21,21 @@ import "fmt"
 //     band matching its class, and classes stay below the topology's
 //     class count — so the class-banded channel order that makes the
 //     wait-for graph acyclic is actually respected, never just assumed.
+//   - VC mask integrity: every input port's busy and free masks agree
+//     with its buffers and reservations, because the route and request
+//     stages read only the masks and a drifted bit would misroute
+//     without any other symptom.
 //   - Flit conservation (end of run): injected == delivered + in-flight
 //     (source queues + VC buffers) + dead.
 type checker struct {
 	n *network
-	// expect is scratch for recomputing reservation counts.
+	// expect is scratch for recomputing reservation counts, indexed
+	// like network.resv.
 	expect []uint8
 }
 
 func newChecker(n *network) *checker {
-	return &checker{n: n, expect: make([]uint8, n.radix*n.vcs)}
+	return &checker{n: n, expect: make([]uint8, len(n.resv))}
 }
 
 // checkGrant validates one grant as the switch hands it out.
@@ -45,7 +50,7 @@ func (c *checker) checkGrant(cycle int64, ni, in, out int) error {
 		if fs.LinkFailed(ni, out) {
 			return fmt.Errorf("fabric: checker: cycle %d router %d: grant on failed link port %d", cycle, ni, out)
 		}
-		if nb, _ := n.topo.LinkDest(ni, out); fs.RouterFailed(nb) {
+		if nb := int(n.links[ni*n.radix+out].node); fs.RouterFailed(nb) {
 			return fmt.Errorf("fabric: checker: cycle %d router %d: grant toward failed router %d", cycle, ni, nb)
 		}
 	}
@@ -55,59 +60,59 @@ func (c *checker) checkGrant(cycle int64, ni, in, out int) error {
 // scan runs the periodic structural invariants over the whole fabric.
 func (c *checker) scan(cycle int64) error {
 	n := c.n
-	classes := len(n.bandLo)
-	for ni := range n.nodes {
-		nd := &n.nodes[ni]
-		for p := 0; p < n.radix; p++ {
-			for v := 0; v < n.vcs; v++ {
-				slot := p*n.vcs + v
-				q := &nd.vcq[slot]
-				if q.n+int(nd.resv[slot]) > n.cfg.VCBufPkts {
-					return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: occupancy %d + reserved %d exceeds buffer %d",
-						cycle, ni, p, v, q.n, nd.resv[slot], n.cfg.VCBufPkts)
+	classes := len(n.bandMask)
+	for slot := range n.busy {
+		ni, p := slot/n.radix, slot%n.radix
+		if stray := (n.busy[slot] | n.free[slot]) &^ vcMask(n.vcs); stray != 0 {
+			return fmt.Errorf("fabric: checker: cycle %d router %d port %d: VC masks set bits %#x beyond %d VCs",
+				cycle, ni, p, stray, n.vcs)
+		}
+		for v := 0; v < n.vcs; v++ {
+			qi := slot*n.vcs + v
+			q := &n.vcq[qi]
+			if q.n+int(n.resv[qi]) > n.cfg.VCBufPkts {
+				return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: occupancy %d + reserved %d exceeds buffer %d",
+					cycle, ni, p, v, q.n, n.resv[qi], n.cfg.VCBufPkts)
+			}
+			busy, free := n.busy[slot]>>uint(v)&1 == 1, n.free[slot]>>uint(v)&1 == 1
+			if busy != (q.n > 0) || free != (q.n+int(n.resv[qi]) < n.cfg.VCBufPkts) {
+				return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: mask busy=%v free=%v, but occupancy %d + reserved %d of buffer %d",
+					cycle, ni, p, v, busy, free, q.n, n.resv[qi], n.cfg.VCBufPkts)
+			}
+			for i := 0; i < q.n; i++ {
+				j := q.head + i
+				if j >= len(q.buf) {
+					j -= len(q.buf)
 				}
-				for i := 0; i < q.n; i++ {
-					j := q.head + i
-					if j >= len(q.buf) {
-						j -= len(q.buf)
-					}
-					cl := int(q.buf[j].class)
-					if cl >= classes {
-						return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: packet class %d out of range (%d classes)",
-							cycle, ni, p, v, cl, classes)
-					}
-					if v < n.bandLo[cl] || v >= n.bandHi[cl] {
-						return fmt.Errorf("fabric: checker: cycle %d router %d port %d: class-%d packet occupies vc %d outside band [%d,%d)",
-							cycle, ni, p, cl, v, n.bandLo[cl], n.bandHi[cl])
-					}
+				cl := int(q.buf[j].class)
+				if cl >= classes {
+					return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: packet class %d out of range (%d classes)",
+						cycle, ni, p, v, cl, classes)
+				}
+				if n.bandMask[cl]>>uint(v)&1 == 0 {
+					return fmt.Errorf("fabric: checker: cycle %d router %d port %d: class-%d packet occupies vc %d outside band %#x",
+						cycle, ni, p, cl, v, n.bandMask[cl])
 				}
 			}
 		}
 	}
-	// Credit conservation: recompute every router's reservation counts
-	// from the in-flight transfers targeting it and compare.
-	for ni := range n.nodes {
-		down := &n.nodes[ni]
-		for i := range c.expect {
-			c.expect[i] = 0
-		}
-		for ui := range n.nodes {
-			up := &n.nodes[ui]
-			for in := range up.active {
-				if !up.active[in] || up.connOut[in] < n.conc {
-					continue
-				}
-				nb, inPort := n.topo.LinkDest(ui, up.connOut[in])
-				if nb == ni {
-					c.expect[inPort*n.vcs+up.downVC[in]]++
-				}
+	// Credit conservation: recompute every reservation count from the
+	// in-flight transfers, in one pass over them, and compare.
+	clear(c.expect)
+	for ui := range n.nodes {
+		up := &n.nodes[ui]
+		for in := range up.active {
+			if up.active[in] && up.connOut[in] >= n.conc {
+				down := int(n.links[ui*n.radix+up.connOut[in]].slot)
+				c.expect[down*n.vcs+up.downVC[in]]++
 			}
 		}
-		for slot := range c.expect {
-			if c.expect[slot] != down.resv[slot] {
-				return fmt.Errorf("fabric: checker: cycle %d router %d slot %d: reserved %d, in-flight transfers %d",
-					cycle, ni, slot, down.resv[slot], c.expect[slot])
-			}
+	}
+	for qi, want := range c.expect {
+		if want != n.resv[qi] {
+			slot := qi / n.vcs
+			return fmt.Errorf("fabric: checker: cycle %d router %d port %d vc %d: reserved %d, in-flight transfers %d",
+				cycle, slot/n.radix, slot%n.radix, qi%n.vcs, n.resv[qi], want)
 		}
 	}
 	return nil

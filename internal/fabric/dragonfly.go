@@ -241,6 +241,17 @@ func (d Dragonfly) ViaCandidates(dst []int, node, via int) []int {
 // Groups-2).
 func (d Dragonfly) wired(_, _ int) bool { return true }
 
+// routeKeys implements Topology: the destination group decides the
+// hop until the packet is in it, then the router within the group;
+// waypoints are groups, so their split has no lo key.
+func (d Dragonfly) routeKeys() (dest, via keySplit) {
+	return keySplit{hiN: d.Groups, hiStride: d.GroupSize, loN: d.GroupSize, loStride: 1},
+		keySplit{hiN: d.Groups, hiStride: 1, loN: 1, loStride: 1}
+}
+
+// waypoint implements Topology: a router satisfies its own group.
+func (d Dragonfly) waypoint(node int) int { return d.group(node) }
+
 func (d Dragonfly) validate() error {
 	if d.Groups < 2 || d.GroupSize < 1 || d.GlobalPorts < 1 || d.Conc < 1 || d.Lanes < 1 {
 		return fmt.Errorf("fabric: bad dragonfly %+v", d)

@@ -3,6 +3,8 @@ package fabric
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"github.com/reprolab/hirise/internal/crossbar"
 	"github.com/reprolab/hirise/internal/obs"
@@ -35,7 +37,8 @@ type Config struct {
 	PacketFlits int
 	// VCs is the number of virtual channels per input port (default 4).
 	// The VCs split into equal contiguous bands, one per deadlock class
-	// (Topology.Classes); VCs must be >= the class count.
+	// (Topology.Classes); VCs must be >= the class count and at most
+	// 64, because each input port tracks its VCs in one-word bitmasks.
 	VCs int
 	// VCBufPkts bounds each VC's input buffer in packets (default 1,
 	// matching internal/sim's one-packet-per-VC discipline).
@@ -63,9 +66,10 @@ type Config struct {
 	// flows. Nil costs nothing.
 	Faults *FaultSet
 	// Check enables the invariant checker: credit conservation,
-	// VC-class/band occupancy (the no-VC-cycle rule), grant sanity, and
-	// end-of-run flit conservation (injected == delivered + in-flight +
-	// dead). The deadlock watchdog is always on regardless.
+	// VC-class/band occupancy (the no-VC-cycle rule), VC mask
+	// integrity, grant sanity, and end-of-run flit conservation
+	// (injected == delivered + in-flight + dead). The deadlock watchdog
+	// is always on regardless.
 	Check bool
 }
 
@@ -111,9 +115,15 @@ func (c *Config) validate() error {
 		return fmt.Errorf("fabric: non-positive structural parameter")
 	case c.Warmup < 0 || c.Measure <= 0:
 		return fmt.Errorf("fabric: bad windows warmup=%d measure=%d", c.Warmup, c.Measure)
+	case c.VCs > maxVCs:
+		return fmt.Errorf("fabric: %d VCs exceed the limit of %d: each input port tracks its VCs in one-word (64-bit) masks",
+			c.VCs, maxVCs)
 	}
 	if err := c.Topo.validate(); err != nil {
 		return err
+	}
+	if c.Topo.Radix() > math.MaxInt16 {
+		return fmt.Errorf("fabric: radix %d exceeds the route tables' %d-port limit", c.Topo.Radix(), math.MaxInt16)
 	}
 	if classes := c.Topo.Classes(c.Routing); c.VCs < classes {
 		return fmt.Errorf("fabric: %d VCs cannot hold the %d deadlock classes %v routing needs",
@@ -173,6 +183,10 @@ const ctxCheckInterval = 1024
 // zero-throughput Result.
 const watchdogCycles = 1024
 
+// maxVCs is the per-port VC limit: the busy and free masks are one
+// uint64 per input port.
+const maxVCs = 64
+
 // checkInterval is the cadence of the periodic structural invariant
 // scans (credit conservation, band occupancy) under Config.Check.
 const checkInterval = 1024
@@ -217,13 +231,12 @@ func (q *fifo) pop() packet {
 	return p
 }
 
-// router is one switch plus its input buffering and connection state.
+// router is one switch plus its connection state; its input buffers
+// live in the network-wide vcq/resv slabs.
 type router struct {
-	sw   sim.Switch
-	vcq  []fifo  // input buffers, indexed port*VCs+vc
-	resv []uint8 // credits reserved by in-flight link transfers, same index
-	req  []int   // per input port: requested output this cycle
-	rr   []int   // per input port: round-robin VC pointer
+	sw  sim.Switch
+	req []int // per input port: requested output this cycle
+	rr  []int // per input port: round-robin VC pointer
 	// Active connections, per input port.
 	active    []bool
 	connVC    []int
@@ -241,20 +254,40 @@ type source struct {
 }
 
 // network is the run state; built fresh by Run.
+//
+// Input buffers are indexed by slot = router*radix+port and, per VC,
+// qi = slot*vcs+vc. Per slot, bit v of busy is set when VC v holds a
+// packet and bit v of free when it can take another (occupancy plus
+// reservations below VCBufPkts); syncMask restores both bits wherever
+// occupancy or reservations change, and the checker audits them.
 type network struct {
 	cfg   Config
 	topo  Topology
 	conc  int
 	radix int
-	cores int
 	vcs   int
 	nodes []router
 	src   []source
-	// VC bands: class c owns VCs [bandLo[c], bandHi[c]).
-	bandLo, bandHi []int
+	vcq   []fifo  // input buffers, indexed qi
+	resv  []uint8 // credits reserved by in-flight link transfers, indexed qi
+	busy  []uint64
+	free  []uint64
+	// bandMask[c] has a bit set for each VC of class c's band.
+	bandMask []uint64
 
-	cand []int // route-candidate scratch
-	rel  []int // pending releases, encoded node*radix+port
+	// Route tables (see tables.go).
+	coreNode  []int32 // core -> router
+	corePort  []int32 // core -> local port
+	destTab   routeTable
+	viaTab    routeTable
+	links     []link   // indexed router*radix+port
+	bundles   []bundle // same index, at each logical link's first lane
+	liveLanes []lane
+	wayOf     []int32 // router -> waypoint id it satisfies
+	viaBump   uint8
+	head      []headRoute // per input buffer, indexed qi
+
+	rel []int // pending releases, encoded node*radix+port
 
 	hist *stats.Histogram
 	hops stats.Summary
@@ -289,37 +322,58 @@ func Run(cfg Config) (Result, error) {
 
 func newNetwork(cfg Config) *network {
 	t := cfg.Topo
+	nNodes, conc := t.Nodes(), t.Concentration()
 	n := &network{
 		cfg:   cfg,
 		topo:  t,
-		conc:  t.Concentration(),
+		conc:  conc,
 		radix: t.Radix(),
-		cores: t.Nodes() * t.Concentration(),
 		vcs:   cfg.VCs,
-		nodes: make([]router, t.Nodes()),
-		src:   make([]source, t.Nodes()*t.Concentration()),
-		cand:  make([]int, 0, 8),
+		nodes: make([]router, nNodes),
+		src:   make([]source, nNodes*conc),
 		hist:  stats.NewHistogram(4, 4096),
 	}
 	classes := t.Classes(cfg.Routing)
-	n.bandLo = make([]int, classes)
-	n.bandHi = make([]int, classes)
-	for c := 0; c < classes; c++ {
-		n.bandLo[c] = c * cfg.VCs / classes
-		n.bandHi[c] = (c + 1) * cfg.VCs / classes
+	n.bandMask = make([]uint64, classes)
+	for c := range n.bandMask {
+		// Class c owns the contiguous VCs [c*VCs/classes, (c+1)*VCs/classes).
+		n.bandMask[c] = vcMask((c+1)*cfg.VCs/classes) &^ vcMask(c*cfg.VCs/classes)
 	}
+
+	n.coreNode = make([]int32, len(n.src))
+	n.corePort = make([]int32, len(n.src))
+	for core := range n.src {
+		n.coreNode[core], n.corePort[core] = int32(core/conc), int32(core%conc)
+	}
+	dest, via := t.routeKeys()
+	n.destTab = newRouteTable(nNodes, dest, func(node int) int { return node }, t.RouteCandidates)
+	n.viaTab = newRouteTable(nNodes, via, t.waypoint, t.ViaCandidates)
+	n.links = newLinks(t)
+	n.bundles, n.liveLanes = newBundles(t, n.links, cfg.Faults)
+	n.wayOf = make([]int32, nNodes)
+	for ni := range n.wayOf {
+		n.wayOf[ni] = int32(t.waypoint(ni))
+	}
+	n.viaBump = uint8(t.ViaBump())
+
 	// All router-local state comes from a handful of network-wide slabs:
 	// a 72-router dragonfly otherwise pays thousands of small allocations
 	// (one per VC buffer alone) before the first cycle runs.
-	nNodes := len(n.nodes)
-	rv := n.radix * cfg.VCs
-	fifos := make([]fifo, nNodes*rv)
-	vcBufs := make([]packet, nNodes*rv*cfg.VCBufPkts)
-	for i := range fifos {
-		fifos[i].buf = vcBufs[i*cfg.VCBufPkts : (i+1)*cfg.VCBufPkts : (i+1)*cfg.VCBufPkts]
+	slots := nNodes * n.radix
+	n.vcq = make([]fifo, slots*cfg.VCs)
+	vcBufs := make([]packet, len(n.vcq)*cfg.VCBufPkts)
+	for i := range n.vcq {
+		n.vcq[i].buf = vcBufs[i*cfg.VCBufPkts : (i+1)*cfg.VCBufPkts : (i+1)*cfg.VCBufPkts]
+	}
+	n.resv = make([]uint8, len(n.vcq))
+	n.head = make([]headRoute, len(n.vcq))
+	n.busy = make([]uint64, slots)
+	n.free = make([]uint64, slots)
+	for i := range n.free {
+		n.free[i] = vcMask(cfg.VCs) // every buffer empty and unreserved
 	}
 	ints := make([]int, nNodes*6*n.radix)
-	bytes := make([]uint8, nNodes*(rv+n.radix))
+	bytes := make([]uint8, nNodes*n.radix)
 	bools := make([]bool, nNodes*n.radix)
 	carveInt := func() []int {
 		s := ints[:n.radix:n.radix]
@@ -329,10 +383,7 @@ func newNetwork(cfg Config) *network {
 	for i := range n.nodes {
 		nd := &n.nodes[i]
 		nd.sw = cfg.NewSwitch()
-		nd.vcq = fifos[i*rv : (i+1)*rv : (i+1)*rv]
-		nd.resv = bytes[:rv:rv]
-		nd.downClass = bytes[rv : rv+n.radix : rv+n.radix]
-		bytes = bytes[rv+n.radix:]
+		nd.downClass = bytes[i*n.radix : (i+1)*n.radix : (i+1)*n.radix]
 		nd.active = bools[i*n.radix : (i+1)*n.radix : (i+1)*n.radix]
 		nd.req = carveInt()
 		nd.rr = carveInt()
@@ -347,82 +398,122 @@ func newNetwork(cfg Config) *network {
 		root.SplitTo(&n.src[i].rng)
 		n.src[i].q.buf = srcBufs[i*cfg.SourceQueueCap : (i+1)*cfg.SourceQueueCap : (i+1)*cfg.SourceQueueCap]
 	}
-	n.rel = make([]int, 0, t.Nodes()*n.radix)
+	n.rel = make([]int, 0, slots)
 	return n
 }
 
-// nodeOfCore returns the router hosting a core and its local port.
-func (n *network) nodeOfCore(core int) (node, port int) {
-	return core / n.conc, core % n.conc
+// vcMask returns the mask of VCs [0, k).
+func vcMask(k int) uint64 {
+	if k >= 64 {
+		return ^uint64(0)
+	}
+	return uint64(1)<<uint(k) - 1
 }
 
-// route computes the request for a head packet at router ni: the output
-// port and, for link hops, the downstream VC and post-hop class. ok is
-// false when every candidate lane lacks credit this cycle (the packet
-// holds); retire is true when the static fail-set severed every route
-// (the packet can never be delivered).
-func (n *network) route(ni int, pkt *packet) (out, downVC int, downClass uint8, ok, retire bool) {
-	destNode := int(pkt.dest) / n.conc
-	if ni == destNode {
-		return int(pkt.dest) % n.conc, -1, pkt.class, true, false
+// syncMask recomputes VC v's busy and free bits at an input slot from
+// its occupancy and reservations.
+func (n *network) syncMask(slot, v int) {
+	qi := slot*n.vcs + v
+	bit := uint64(1) << uint(v)
+	busy, free := n.busy[slot]&^bit, n.free[slot]&^bit
+	if n.vcq[qi].n > 0 {
+		busy |= bit
 	}
-	fs := n.cfg.Faults
-	if fs != nil && fs.RouterFailed(destNode) {
-		return 0, 0, 0, false, true
+	if n.vcq[qi].n+int(n.resv[qi]) < n.cfg.VCBufPkts {
+		free |= bit
 	}
-	if pkt.phase == 0 {
-		n.cand = n.topo.ViaCandidates(n.cand[:0], ni, int(pkt.via))
-	} else {
-		n.cand = n.topo.RouteCandidates(n.cand[:0], ni, destNode)
-	}
-	// Reroute around failures: drop dead lanes, keeping the surviving
-	// lanes of the bundle. The fail-set's per-bundle budget guarantees
-	// link faults alone never empty a candidate set; router faults can,
-	// and then the flow is dead.
-	live := n.cand
-	if fs != nil {
-		live = live[:0]
-		for _, o := range n.cand {
-			if fs.LinkFailed(ni, o) {
-				continue
-			}
-			if nb, _ := n.topo.LinkDest(ni, o); fs.RouterFailed(nb) {
-				continue
-			}
-			live = append(live, o)
-		}
-		if len(live) == 0 {
+	n.busy[slot], n.free[slot] = busy, free
+}
+
+// route computes the request for the head packet of input buffer qi
+// at router ni: the output port and, for link hops, the downstream VC
+// and post-hop class. ok is false when every candidate lane lacks
+// credit this cycle (the packet holds); retire is true when the static
+// fail-set severed every route (the packet can never be delivered).
+// The head's route is resolved once and cached; a blocked head only
+// repeats the credit check.
+func (n *network) route(ni, qi int) (out, downVC int, downClass uint8, ok, retire bool) {
+	h := &n.head[qi]
+	if !h.ok {
+		if !n.resolve(ni, n.vcq[qi].peek(), h) {
 			return 0, 0, 0, false, true
 		}
 	}
-	// Seed-derived lane tie-break (the flow hash is derived from the
-	// run seed at injection), then first credited lane in rotation so
-	// backpressure on one lane spills to its siblings.
-	start := (int(pkt.flow) + int(pkt.hops)) % len(live)
-	for k := 0; k < len(live); k++ {
-		o := live[(start+k)%len(live)]
-		nb, inPort := n.topo.LinkDest(ni, o)
-		ca := n.topo.ClassAfter(int(pkt.class), ni, o)
-		if pkt.phase == 1 && pkt.via >= 0 && n.topo.AtVia(ni, int(pkt.via)) {
-			// Dateline: the class bump happens on departure FROM the
-			// waypoint, not on the hop into it, so each grid class band
-			// carries one uninterrupted dimension-ordered route segment
-			// (src->via in class 0, via->dst in class 1) and its channel
-			// dependency graph stays acyclic. Bumping a hop early would
-			// mix the tail of phase 0 into the class-1 band and admit
-			// Y->X dependencies there — a real deadlock, caught by
-			// TestSaturationTerminates when tried.
-			ca += n.topo.ViaBump()
+	if h.lanes == 0 {
+		return int(h.port), -1, h.ca, true, false
+	}
+	// Within a lane, the lowest free VC of the post-hop class band;
+	// when the tie-break's lane lacks credit, the next live lane in
+	// rotation, so backpressure on one lane spills to its siblings.
+	if m := n.free[h.slot] & n.bandMask[h.ca]; m != 0 {
+		return int(h.port), bits.TrailingZeros64(m), h.ca, true, false
+	}
+	if h.lanes == 1 {
+		return 0, 0, 0, false, false
+	}
+	live := n.liveLanes[h.off : h.off+int32(h.lanes)]
+	i := h.start
+	for k := int16(1); k < h.lanes; k++ {
+		if i++; i == h.lanes {
+			i = 0
 		}
-		down := &n.nodes[nb]
-		base := inPort * n.vcs
-		for v := n.bandLo[ca]; v < n.bandHi[ca]; v++ {
-			if down.vcq[base+v].n+int(down.resv[base+v]) < n.cfg.VCBufPkts {
-				return o, v, uint8(ca), true, false
-			}
+		ln := &live[i]
+		ca := h.class + ln.bump
+		if m := n.free[ln.slot] & n.bandMask[ca]; m != 0 {
+			return int(ln.port), bits.TrailingZeros64(m), ca, true, false
 		}
 	}
 	return 0, 0, 0, false, false
+}
+
+// resolve fills h with pkt's route at router ni from the tables, or
+// reports false when the fail-set leaves the packet no route.
+func (n *network) resolve(ni int, pkt *packet, h *headRoute) bool {
+	destNode := int(n.coreNode[pkt.dest])
+	if ni == destNode {
+		*h = headRoute{ok: true, ca: pkt.class, port: int16(n.corePort[pkt.dest])}
+		return true
+	}
+	if fs := n.cfg.Faults; fs != nil && fs.RouterFailed(destNode) {
+		return false
+	}
+	var first int
+	if pkt.phase == 0 {
+		first = n.viaTab.port(ni, int(pkt.via))
+	} else {
+		first = n.destTab.port(ni, destNode)
+	}
+	// Rerouting around failures drops the bundle's dead lanes. The
+	// fail-set's per-bundle budget guarantees link faults alone never
+	// empty a bundle; router faults can, and then the flow is dead.
+	b := n.bundles[ni*n.radix+first]
+	if b.n == 0 {
+		return false
+	}
+	class := pkt.class
+	if pkt.phase == 1 && pkt.via >= 0 && n.wayOf[ni] == pkt.via {
+		// Dateline: the class bump happens on departure FROM the
+		// waypoint, not on the hop into it, so each grid class band
+		// carries one uninterrupted dimension-ordered route segment
+		// (src->via in class 0, via->dst in class 1) and its channel
+		// dependency graph stays acyclic. Bumping a hop early would
+		// mix the tail of phase 0 into the class-1 band and admit
+		// Y->X dependencies there — a real deadlock, caught by
+		// TestSaturationTerminates when tried.
+		class += n.viaBump
+	}
+	// Seed-derived lane tie-break: the flow hash is derived from the
+	// run seed at injection.
+	var start int32
+	if b.n > 1 {
+		start = int32((int(pkt.flow) + int(pkt.hops)) % int(b.n))
+	}
+	ln := n.liveLanes[b.off+start]
+	*h = headRoute{
+		slot: ln.slot, off: b.off, port: ln.port, lanes: int16(b.n), start: int16(start),
+		ok: true, class: class, ca: class + ln.bump,
+	}
+	return true
 }
 
 func (n *network) run() (Result, error) {
@@ -501,8 +592,12 @@ func (n *network) run() (Result, error) {
 					continue
 				}
 				nd.active[in] = false
-				n.rel = append(n.rel, ni*n.radix+in)
-				pkt := nd.vcq[in*n.vcs+nd.connVC[in]].pop()
+				slot := ni*n.radix + in
+				n.rel = append(n.rel, slot)
+				qi := slot*n.vcs + nd.connVC[in]
+				pkt := n.vcq[qi].pop()
+				n.head[qi].ok = false
+				n.syncMask(slot, nd.connVC[in])
 				n.inNet--
 				pkt.hops++
 				out := nd.connOut[in]
@@ -530,22 +625,22 @@ func (n *network) run() (Result, error) {
 					n.rec.Record(cycle, obs.EvEject, int(pkt.dest), int(pkt.dest), int(lat))
 					continue
 				}
-				nb, inPort := n.topo.LinkDest(ni, out)
+				l := &n.links[slot-in+out]
 				pkt.class = nd.downClass[in]
-				if pkt.phase == 0 && n.topo.AtVia(nb, int(pkt.via)) {
+				if pkt.phase == 0 && n.wayOf[l.node] == pkt.via {
 					pkt.phase = 1
 				}
-				down := &n.nodes[nb]
-				slot := inPort*n.vcs + nd.downVC[in]
-				down.vcq[slot].push(pkt)
-				down.resv[slot]--
+				down, dvc := int(l.slot), nd.downVC[in]
+				n.vcq[down*n.vcs+dvc].push(pkt)
+				n.resv[down*n.vcs+dvc]--
+				n.syncMask(down, dvc)
 				n.inNet++
 			}
 		}
 
 		// 2. Build requests from unconnected inputs with waiting
-		// packets, selecting the candidate VC round-robin; statically
-		// unroutable heads are retired as dead flows.
+		// packets, walking the busy VCs round-robin from rr[in];
+		// statically unroutable heads are retired as dead flows.
 		for ni := range n.nodes {
 			if cfg.Faults != nil && cfg.Faults.RouterFailed(ni) {
 				continue // fail-stop: the router arbitrates nothing
@@ -556,16 +651,22 @@ func (n *network) run() (Result, error) {
 				if nd.active[in] {
 					continue
 				}
-				for k := 0; k < n.vcs; k++ {
-					v := (nd.rr[in] + k) % n.vcs
-					q := &nd.vcq[in*n.vcs+v]
-					if q.n == 0 {
-						continue
-					}
-					pkt := q.peek()
-					out, dvc, dclass, ok, retire := n.route(ni, pkt)
+				slot := ni*n.radix + in
+				if n.busy[slot] == 0 {
+					continue
+				}
+				// Rotating right by rr puts VCs rr..vcs-1 at the bottom
+				// and wraps 0..rr-1 above bit 63-rr, past every one of
+				// them, so ascending bit order is round-robin order.
+				r := nd.rr[in]
+				for rot := bits.RotateLeft64(n.busy[slot], -r); rot != 0; rot &= rot - 1 {
+					v := (bits.TrailingZeros64(rot) + r) & (maxVCs - 1)
+					qi := slot*n.vcs + v
+					out, dvc, dclass, ok, retire := n.route(ni, qi)
 					if retire {
-						dead := q.pop()
+						dead := n.vcq[qi].pop()
+						n.head[qi].ok = false
+						n.syncMask(slot, v)
 						n.inNet--
 						n.deadTotal++
 						n.lastActivity = cycle
@@ -577,7 +678,9 @@ func (n *network) run() (Result, error) {
 					if !ok {
 						continue
 					}
-					nd.rr[in] = (v + 1) % n.vcs
+					if nd.rr[in] = v + 1; nd.rr[in] == n.vcs {
+						nd.rr[in] = 0
+					}
 					nd.req[in] = out
 					nd.connVC[in] = v
 					nd.connOut[in] = out
@@ -598,8 +701,9 @@ func (n *network) run() (Result, error) {
 				nd.active[g.In] = true
 				nd.remaining[g.In] = cfg.PacketFlits
 				if g.Out >= n.conc {
-					nb, inPort := n.topo.LinkDest(ni, g.Out)
-					n.nodes[nb].resv[inPort*n.vcs+nd.downVC[g.In]]++
+					down, dvc := int(n.links[ni*n.radix+g.Out].slot), nd.downVC[g.In]
+					n.resv[down*n.vcs+dvc]++
+					n.syncMask(down, dvc)
 				}
 				n.lastActivity = cycle
 				n.mWins.Inc()
@@ -625,7 +729,8 @@ func (n *network) run() (Result, error) {
 		// 5. Inject new packets and refill the class-0 VC band from the
 		// source queues.
 		for core := range n.src {
-			if cfg.Faults != nil && cfg.Faults.RouterFailed(core/n.conc) {
+			ni := int(n.coreNode[core])
+			if cfg.Faults != nil && cfg.Faults.RouterFailed(ni) {
 				continue // cores behind a failed router cannot inject
 			}
 			s := &n.src[core]
@@ -646,8 +751,7 @@ func (n *network) run() (Result, error) {
 						flow:  uint32(pool.SeedFor(cfg.Seed, uint64(core), uint64(s.next))),
 					}
 					if cfg.Routing == Valiant {
-						srcNode, _ := n.nodeOfCore(core)
-						if via := n.topo.ValiantVia(srcNode, dest/n.conc, &s.rng); via >= 0 {
+						if via := n.topo.ValiantVia(ni, int(n.coreNode[dest]), &s.rng); via >= 0 {
 							pkt.via = int32(via)
 							pkt.phase = 0
 						}
@@ -664,15 +768,14 @@ func (n *network) run() (Result, error) {
 				}
 			}
 			if s.q.n > 0 {
-				ni, port := n.nodeOfCore(core)
-				nd := &n.nodes[ni]
-				base := port * n.vcs
-				for v := n.bandLo[0]; v < n.bandHi[0] && s.q.n > 0; v++ {
-					if nd.vcq[base+v].full() {
-						continue
-					}
+				// Core ports take no link reservations, so a free VC
+				// here is exactly a non-full one.
+				slot := ni*n.radix + int(n.corePort[core])
+				for m := n.free[slot] & n.bandMask[0]; m != 0 && s.q.n > 0; m &= m - 1 {
+					v := bits.TrailingZeros64(m)
 					p := s.q.pop()
-					nd.vcq[base+v].push(p)
+					n.vcq[slot*n.vcs+v].push(p)
+					n.syncMask(slot, v)
 					n.inNet++
 					n.rec.Record(cycle, obs.EvVCAlloc, core, int(p.dest), v)
 				}

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/reprolab/hirise/internal/obs"
@@ -159,6 +160,9 @@ func TestConfigValidation(t *testing.T) {
 			c.Routing = Valiant
 			c.VCs = 2
 		}},
+		{"radix beyond the route tables", func(c *Config) {
+			c.Topo = FlattenedButterfly{W: 2, H: 1, Conc: 1, Lanes: 1 << 15}
+		}},
 		{"unbalanced dragonfly", func(c *Config) {
 			c.Topo = Dragonfly{Groups: 4, GroupSize: 2, GlobalPorts: 2, Conc: 2, Lanes: 1}
 		}},
@@ -178,5 +182,23 @@ func TestConfigValidation(t *testing.T) {
 	cfg.Traffic = traffic.Uniform{Radix: 4}
 	if _, err := Run(cfg); err != nil {
 		t.Fatalf("1x1 mesh rejected: %v", err)
+	}
+}
+
+// TestVCLimit pins the one-word VC masks' limit: 64 VCs run (every
+// mask bit in use, the round-robin rotation wrapping at bit 63) and 65
+// are refused with an error that names the limit.
+func TestVCLimit(t *testing.T) {
+	cfg := baseConfig(Dragonfly{Groups: 3, GroupSize: 2, GlobalPorts: 1, Conc: 2, Lanes: 1})
+	cfg.Routing = Valiant
+	cfg.VCs = 64
+	cfg.Measure = 1000
+	if res, err := Run(cfg); err != nil || res.Delivered == 0 {
+		t.Fatalf("64 VCs: %+v, %v", res, err)
+	}
+	cfg.VCs = 65
+	_, err := Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "64") || !strings.Contains(err.Error(), "mask") {
+		t.Fatalf("65 VCs: got %v, want an error naming the 64-VC mask limit", err)
 	}
 }

@@ -111,6 +111,13 @@ type Topology interface {
 	// mesh edge routers have dangling direction ports that routing never
 	// uses, and the fault plane must not waste fail-set budget on them.
 	wired(node, out int) bool
+	// routeKeys factors route targets for the fabric's route tables:
+	// dest splits router ids (RouteCandidates targets), via splits
+	// waypoint ids (ViaCandidates targets).
+	routeKeys() (dest, via keySplit)
+	// waypoint returns the waypoint id a router satisfies: AtVia(node, v)
+	// holds exactly for v == waypoint(node).
+	waypoint(node int) int
 
 	validate() error
 }
@@ -123,6 +130,21 @@ func bundleOf(t Topology, node, out int) int {
 	base := conc + ((out-conc)/t.LaneCount())*t.LaneCount()
 	return node*t.Radix() + base
 }
+
+// keySplit factors a target id space (routers, or Valiant waypoints)
+// into two keys, id = hi*hiStride + lo*loStride, such that the first
+// hop from any router toward a target whose hi key differs from the
+// router's own depends on that hi key alone, and otherwise on the lo
+// key alone: dimension order on grids (column, then row), hierarchy on
+// the dragonfly (group, then router within the group). It keeps the
+// route tables at O(nodes*(hiN+loN)) entries instead of O(nodes^2).
+type keySplit struct{ hiN, hiStride, loN, loStride int }
+
+func (s keySplit) hi(id int) int     { return id / s.hiStride % s.hiN }
+func (s keySplit) lo(id int) int     { return id / s.loStride % s.loN }
+func (s keySplit) id(hi, lo int) int { return hi*s.hiStride + lo*s.loStride }
+func (s keySplit) size() int         { return s.hiN * s.loN }
+func gridSplit(w, h int) keySplit    { return keySplit{hiN: w, hiStride: 1, loN: h, loStride: w} }
 
 // Direction indexes a mesh neighbour.
 const (
@@ -280,6 +302,15 @@ func (m Mesh) wired(node, out int) bool {
 	}
 }
 
+// routeKeys implements Topology: X (column) before Y (row); waypoints
+// are routers.
+func (m Mesh) routeKeys() (dest, via keySplit) {
+	return gridSplit(m.W, m.H), gridSplit(m.W, m.H)
+}
+
+// waypoint implements Topology.
+func (m Mesh) waypoint(node int) int { return node }
+
 func (m Mesh) validate() error {
 	if m.W == 1 && m.H == 1 {
 		if m.Conc >= 1 && m.Lanes == 0 {
@@ -429,6 +460,15 @@ func (f FlattenedButterfly) ViaCandidates(dst []int, node, via int) []int {
 
 // wired implements Topology: skip-self indexing leaves no dangling port.
 func (f FlattenedButterfly) wired(_, _ int) bool { return true }
+
+// routeKeys implements Topology: row hop (column key) before column
+// hop (row key); waypoints are routers.
+func (f FlattenedButterfly) routeKeys() (dest, via keySplit) {
+	return gridSplit(f.W, f.H), gridSplit(f.W, f.H)
+}
+
+// waypoint implements Topology.
+func (f FlattenedButterfly) waypoint(node int) int { return node }
 
 func (f FlattenedButterfly) validate() error {
 	if f.W < 2 || f.H < 1 || f.Conc < 1 || f.Lanes < 1 {

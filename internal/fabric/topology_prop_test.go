@@ -230,22 +230,7 @@ func FuzzRouteCandidatesShortestPath(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), uint16(3), uint16(4), uint64(2))
 	f.Add(uint8(2), uint8(3), uint8(1), uint8(1), uint8(0), uint16(7), uint16(30), uint64(3))
 	f.Fuzz(func(t *testing.T, kind, a, b, c, d uint8, src, dst uint16, seed uint64) {
-		var topo Topology
-		switch kind % 3 {
-		case 0:
-			topo = Mesh{W: 1 + int(a)%4, H: 1 + int(b)%4, Conc: 1 + int(c)%2, Lanes: 1 + int(d)%2}
-			if topo.(Mesh).W == 1 && topo.(Mesh).H == 1 {
-				t.Skip("degenerate mesh has no routes")
-			}
-		case 1:
-			topo = FlattenedButterfly{W: 2 + int(a)%3, H: 1 + int(b)%3, Conc: 1 + int(c)%2, Lanes: 1 + int(d)%2}
-		default:
-			gs, h := 1+int(a)%4, 1+int(b)%2
-			topo = Dragonfly{Groups: gs*h + 1, GroupSize: gs, GlobalPorts: h, Conc: 1 + int(c)%2, Lanes: 1 + int(d)%2}
-		}
-		if err := topo.validate(); err != nil {
-			t.Skip(err)
-		}
+		topo := fuzzTopo(t, kind, a, b, c, d)
 		s, e := int(src)%topo.Nodes(), int(dst)%topo.Nodes()
 		if s == e {
 			t.Skip("same router")
@@ -256,6 +241,156 @@ func FuzzRouteCandidatesShortestPath(f *testing.F) {
 			if via := topo.ValiantVia(s, e, rng); via >= 0 {
 				valiantWalk(t, topo, s, e, via)
 			}
+		}
+	})
+}
+
+// fuzzTopo decodes fuzz bytes into a small topology of any kind,
+// skipping shapes that fail validation or have no routes.
+func fuzzTopo(t *testing.T, kind, a, b, c, d uint8) Topology {
+	var topo Topology
+	switch kind % 3 {
+	case 0:
+		topo = Mesh{W: 1 + int(a)%4, H: 1 + int(b)%4, Conc: 1 + int(c)%2, Lanes: 1 + int(d)%2}
+		if topo.(Mesh).W == 1 && topo.(Mesh).H == 1 {
+			t.Skip("degenerate mesh has no routes")
+		}
+	case 1:
+		topo = FlattenedButterfly{W: 2 + int(a)%3, H: 1 + int(b)%3, Conc: 1 + int(c)%2, Lanes: 1 + int(d)%2}
+	default:
+		gs, h := 1+int(a)%4, 1+int(b)%2
+		topo = Dragonfly{Groups: gs*h + 1, GroupSize: gs, GlobalPorts: h, Conc: 1 + int(c)%2, Lanes: 1 + int(d)%2}
+	}
+	if err := topo.validate(); err != nil {
+		t.Skip(err)
+	}
+	return topo
+}
+
+// checkRouteTables asserts that every entry of the tables newNetwork
+// builds equals the Topology function it memoizes: the route tables
+// give the first lane of RouteCandidates (every router pair) and of
+// ViaCandidates (every router and waypoint it does not satisfy), whose
+// lanes are that port and the ones after it; the waypoint ids agree
+// with AtVia; the link table holds LinkDest and ClassAfter minus the
+// input class on every wired port; and each logical link's live lanes
+// are exactly its lanes the fail-set spares.
+func checkRouteTables(t *testing.T, topo Topology, fs *FaultSet) {
+	t.Helper()
+	nodes, radix, conc, lanes := topo.Nodes(), topo.Radix(), topo.Concentration(), topo.LaneCount()
+	dest, via := topo.routeKeys()
+	destTab := newRouteTable(nodes, dest, func(node int) int { return node }, topo.RouteCandidates)
+	viaTab := newRouteTable(nodes, via, topo.waypoint, topo.ViaCandidates)
+	links := newLinks(topo)
+	bundles, liveLanes := newBundles(topo, links, fs)
+	checkLanes := func(what string, ni, target, first int, cands []int) {
+		t.Helper()
+		if len(cands) != lanes {
+			t.Fatalf("%s(%d,%d) = %v, want %d lanes", what, ni, target, cands, lanes)
+		}
+		for i, o := range cands {
+			if o != first+i {
+				t.Fatalf("%s(%d,%d) = %v, table gives first lane %d", what, ni, target, cands, first)
+			}
+		}
+	}
+	if dest.size() != nodes {
+		t.Fatalf("dest split covers %d targets, topology has %d routers", dest.size(), nodes)
+	}
+	waypoints := make(map[int]bool)
+	for ni := 0; ni < nodes; ni++ {
+		waypoints[topo.waypoint(ni)] = true
+	}
+	if via.size() != len(waypoints) {
+		t.Fatalf("via split covers %d waypoints, routers satisfy %d", via.size(), len(waypoints))
+	}
+	for ni := 0; ni < nodes; ni++ {
+		for d := 0; d < nodes; d++ {
+			if d != ni {
+				checkLanes("RouteCandidates", ni, d, destTab.port(ni, d), topo.RouteCandidates(nil, ni, d))
+			}
+		}
+		for v := 0; v < via.size(); v++ {
+			if at := topo.AtVia(ni, v); at != (topo.waypoint(ni) == v) {
+				t.Fatalf("AtVia(%d,%d) = %v, but waypoint(%d) = %d", ni, v, at, ni, topo.waypoint(ni))
+			} else if !at {
+				checkLanes("ViaCandidates", ni, v, viaTab.port(ni, v), topo.ViaCandidates(nil, ni, v))
+			}
+		}
+		for out := 0; out < radix; out++ {
+			l := links[ni*radix+out]
+			if out < conc || !topo.wired(ni, out) {
+				if l.slot != -1 {
+					t.Fatalf("unwired port (%d,%d) has link entry %+v", ni, out, l)
+				}
+				continue
+			}
+			nb, inPort := topo.LinkDest(ni, out)
+			if int(l.slot) != nb*radix+inPort || int(l.node) != nb {
+				t.Fatalf("link (%d,%d) = %+v, LinkDest gives (%d,%d)", ni, out, l, nb, inPort)
+			}
+			for class := 0; class < topo.Classes(Valiant); class++ {
+				if bump := topo.ClassAfter(class, ni, out) - class; int(l.bump) != bump {
+					t.Fatalf("link (%d,%d) bump %d, ClassAfter(%d) - %d = %d", ni, out, l.bump, class, class, bump)
+				}
+			}
+		}
+		for first := conc; lanes > 0 && first < radix; first += lanes {
+			if !topo.wired(ni, first) {
+				continue
+			}
+			var want []lane
+			for out := first; out < first+lanes; out++ {
+				nb, _ := topo.LinkDest(ni, out)
+				if fs == nil || !fs.LinkFailed(ni, out) && !fs.RouterFailed(nb) {
+					l := links[ni*radix+out]
+					want = append(want, lane{slot: l.slot, port: int16(out), bump: l.bump})
+				}
+			}
+			b := bundles[ni*radix+first]
+			got := liveLanes[b.off : b.off+b.n]
+			for i := 0; i < len(got) || i < len(want); i++ {
+				if i >= len(got) || i >= len(want) || got[i] != want[i] {
+					t.Fatalf("bundle (%d,%d) live lanes %+v, fail-set spares %+v", ni, first, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestRouteTablesMatchTopology(t *testing.T) {
+	for _, tc := range propTopos() {
+		t.Run(tc.name, func(t *testing.T) {
+			checkRouteTables(t, tc.topo, nil)
+			spec := FaultSpec{Seed: 3, FailRouters: 1}
+			if tc.topo.LaneCount() > 1 {
+				spec.FailLinks = 3
+			}
+			fs, err := spec.Build(tc.topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRouteTables(t, tc.topo, fs)
+		})
+	}
+}
+
+// FuzzRouteTables holds the route and link tables equal to the
+// Topology functions they memoize over arbitrary valid shapes, with
+// and without a fail-set.
+func FuzzRouteTables(f *testing.F) {
+	f.Add(uint8(0), uint8(3), uint8(2), uint8(1), uint8(1), uint64(1))
+	f.Add(uint8(1), uint8(2), uint8(2), uint8(0), uint8(1), uint64(2))
+	f.Add(uint8(2), uint8(3), uint8(1), uint8(1), uint8(1), uint64(3))
+	f.Fuzz(func(t *testing.T, kind, a, b, c, d uint8, seed uint64) {
+		topo := fuzzTopo(t, kind, a, b, c, d)
+		checkRouteTables(t, topo, nil)
+		spec := FaultSpec{Seed: seed, FailRouters: int(seed % uint64(topo.Nodes()))}
+		if topo.LaneCount() > 1 {
+			spec.FailLinks = int(seed>>8) % (topo.Nodes() + 1)
+		}
+		if fs, err := spec.Build(topo); err == nil {
+			checkRouteTables(t, topo, fs)
 		}
 	})
 }
