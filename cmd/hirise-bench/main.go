@@ -65,99 +65,103 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
 
 	"github.com/reprolab/hirise"
+	"github.com/reprolab/hirise/internal/experiments"
+	"github.com/reprolab/hirise/internal/obs"
 	"github.com/reprolab/hirise/internal/pool"
+	"github.com/reprolab/hirise/internal/spec"
 	"github.com/reprolab/hirise/internal/store"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the tables to stdout
+// and timings and diagnostics to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fail := func(code int, msg any) int {
+		fmt.Fprintln(stderr, msg)
+		return code
+	}
+	done := func(err error) int {
+		if err != nil {
+			return fail(1, err)
+		}
+		return 0
+	}
+	fs := flag.NewFlagSet("hirise-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		run      = flag.String("run", "", "comma-separated experiment IDs, or \"all\"")
-		list     = flag.Bool("list", false, "list available experiments and exit")
-		quick    = flag.Bool("quick", false, "reduced fidelity for a fast smoke run")
-		seed     = flag.Uint64("seed", 0, "override random seed (the engine remaps 0 to 1)")
-		warmup   = flag.Int64("warmup", 0, "override warmup cycles (0 keeps the built-in default)")
-		measure  = flag.Int64("measure", 0, "override measurement cycles (0 keeps the built-in default)")
-		format   = flag.String("format", "text", "output format: text | csv | json")
-		plotIt   = flag.Bool("plot", false, "draw figure experiments as ASCII charts (text format only)")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
+		runIDs   = fs.String("run", "", "comma-separated experiment IDs, or \"all\"")
+		list     = fs.Bool("list", false, "list available experiments and exit")
+		quick    = fs.Bool("quick", false, "reduced fidelity for a fast smoke run")
+		seed     = fs.Uint64("seed", 0, "override random seed (the engine remaps 0 to 1)")
+		warmup   = fs.Int64("warmup", 0, "override warmup cycles (0 keeps the built-in default)")
+		measure  = fs.Int64("measure", 0, "override measurement cycles (0 keeps the built-in default)")
+		format   = fs.String("format", "text", "output format: text | csv | json")
+		plotIt   = fs.Bool("plot", false, "draw figure experiments as ASCII charts (text format only)")
+		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0),
 			"max concurrent experiments and simulations per experiment; 1 forces serial. Output is byte-identical at any value")
-		jsonOut  = flag.String("json", "", "also write the tables as one JSON array to this file, regardless of -format")
-		storeDir = flag.String("store", "",
+		jsonOut  = fs.String("json", "", "also write the tables as one JSON array to this file, regardless of -format")
+		storeDir = fs.String("store", "",
 			"cache rendered experiment results in this directory (content-addressed by id, fidelity, model version, and format)")
 
-		perfOut = flag.String("perf", "",
+		perfOut = fs.String("perf", "",
 			"run the arbitration hot-kernel microbenchmarks and write them as JSON to this file (schema in EXPERIMENTS.md), then exit")
-		perfBase = flag.String("perf-baseline", "",
+		perfBase = fs.String("perf-baseline", "",
 			"embed a previous -perf run from this file as the baseline for before/after comparison")
-		perfCheck = flag.Bool("perf-check", false,
+		perfCheck = fs.Bool("perf-check", false,
 			"compare two -perf JSON files (args: NEW BASELINE) and exit non-zero on regression, then exit")
-		perfTol = flag.Float64("perf-tolerance", 0.25,
+		perfTol = fs.Float64("perf-tolerance", 0.25,
 			"fractional ns/op slowdown -perf-check tolerates before flagging (allocs/op increases always fail)")
-		perfWarnOnly = flag.Bool("perf-warn-only", false,
+		perfWarnOnly = fs.Bool("perf-warn-only", false,
 			"-perf-check reports ns/op regressions as warnings instead of failing (allocs/op increases still fail)")
-		pgoOut = flag.String("pgo-profile", "",
+		pgoOut = fs.String("pgo-profile", "",
 			"run a representative hot-path workload under the CPU profiler and write a PGO profile (default.pgo) to this file, then exit")
 
-		convStop = flag.Bool("converge-stop", false,
+		convStop = fs.Bool("converge-stop", false,
 			"let each simulation stop early once its delivered-packet rate reaches steady state (MSER); results stay deterministic but differ from full-length runs, and the store key records the flag")
 
 		// Host-side profiling of the bench process itself.
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-		exectrace  = flag.String("exectrace", "", "write a runtime execution trace (go tool trace) to this file")
-		runmetrics = flag.String("runmetrics", "", "write a runtime/metrics JSON snapshot to this file at exit")
-		heartbeat  = flag.Duration("heartbeat", 0, "print progress to stderr at this interval (0 = off)")
+		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
+		exectrace  = fs.String("exectrace", "", "write a runtime execution trace (go tool trace) to this file")
+		runmetrics = fs.String("runmetrics", "", "write a runtime/metrics JSON snapshot to this file at exit")
+		heartbeat  = fs.Duration("heartbeat", 0, "print progress to stderr at this interval (0 = off)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
-	if *list {
+	switch {
+	case *list:
 		for _, id := range hirise.Experiments() {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
-		return
-	}
-	if *perfCheck {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: hirise-bench -perf-check NEW BASELINE")
-			os.Exit(2)
-		}
-		if err := runPerfCheck(os.Stdout, flag.Arg(0), flag.Arg(1), *perfTol, *perfWarnOnly); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *perfOut != "" {
-		if err := runPerf(*perfOut, *perfBase); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *pgoOut != "" {
-		if err := runPGOProfile(*pgoOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *perfBase != "" {
-		fmt.Fprintln(os.Stderr, "-perf-baseline requires -perf")
-		os.Exit(2)
-	}
-	if *run == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *format != "text" && *format != "csv" && *format != "json" {
-		fmt.Fprintf(os.Stderr, "unknown format %q (want text, csv, or json)\n", *format)
-		os.Exit(2)
+		return 0
+	case *perfCheck && fs.NArg() != 2:
+		return fail(2, "usage: hirise-bench -perf-check NEW BASELINE")
+	case *perfCheck:
+		return done(runPerfCheck(stdout, fs.Arg(0), fs.Arg(1), *perfTol, *perfWarnOnly))
+	case *perfOut != "":
+		return done(runPerf(*perfOut, *perfBase))
+	case *pgoOut != "":
+		return done(runPGOProfile(*pgoOut))
+	case *perfBase != "":
+		return fail(2, "-perf-baseline requires -perf")
+	case *runIDs == "":
+		fs.Usage()
+		return 2
+	case !slices.Contains(experiments.Formats, *format):
+		return fail(2, fmt.Sprintf("unknown format %q (want one of %v)", *format, experiments.Formats))
 	}
 
 	opts := hirise.DefaultExperimentOpts()
@@ -169,40 +173,37 @@ func main() {
 	// "unset" (sim.Config.Defaults remaps Seed 0 to 1 and restores the
 	// fidelity's windows), so an explicit zero selects the default — say
 	// so rather than silently ignoring the flag.
-	flag.Visit(func(fl *flag.Flag) {
+	fs.Visit(func(fl *flag.Flag) {
 		switch fl.Name {
 		case "seed":
 			opts.Seed = *seed
 			if *seed == 0 {
-				fmt.Fprintln(os.Stderr, "note: -seed 0 means unset and is remapped to 1 by the simulator")
+				fmt.Fprintln(stderr, "note: -seed 0 means unset and is remapped to 1 by the simulator")
 			}
 		case "warmup":
 			opts.Warmup = *warmup
 			if *warmup == 0 {
-				fmt.Fprintln(os.Stderr, "note: -warmup 0 means unset and falls back to the publication default, even with -quick")
+				fmt.Fprintln(stderr, "note: -warmup 0 means unset and falls back to the publication default, even with -quick")
 			}
 		case "measure":
 			opts.Measure = *measure
 			if *measure == 0 {
-				fmt.Fprintln(os.Stderr, "note: -measure 0 means unset and falls back to the publication default, even with -quick")
+				fmt.Fprintln(stderr, "note: -measure 0 means unset and falls back to the publication default, even with -quick")
 			}
 		}
 	})
 	opts.Workers = *parallel
 	opts.ConvergeStop = *convStop
 
-	ids, err := resolveIDs(*run, hirise.Experiments())
+	ids, err := resolveIDs(*runIDs, hirise.Experiments())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		fmt.Fprintf(os.Stderr, "valid ids: %s\n", strings.Join(hirise.Experiments(), ", "))
-		os.Exit(2)
+		return fail(2, fmt.Sprintf("%v\nvalid ids: %s", err, strings.Join(hirise.Experiments(), ", ")))
 	}
 
 	var st *store.Store
 	if *storeDir != "" {
 		if st, err = store.Open(*storeDir, store.Options{}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 	}
 
@@ -211,27 +212,25 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	stopProfiles, err := hirise.StartProfiles(hirise.ProfileConfig{
+	stopProfiles, err := obs.StartProfiles(obs.ProfileConfig{
 		CPUProfile: *cpuprofile, MemProfile: *memprofile,
 		ExecTrace: *exectrace, RuntimeMetrics: *runmetrics,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 
 	var jsonW io.Writer
 	var jsonF *os.File
 	if *jsonOut != "" {
-		jsonF, err = os.Create(*jsonOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if jsonF, err = os.Create(*jsonOut); err != nil {
+			stopProfiles()
+			return fail(1, err)
 		}
 		jsonW = jsonF
 	}
 
-	err = runExperiments(ctx, st, os.Stdout, os.Stderr, jsonW, ids, opts, *format, *plotIt, *heartbeat)
+	err = runExperiments(ctx, st, stdout, stderr, jsonW, ids, opts, *format, *plotIt, *heartbeat)
 	if jsonF != nil {
 		if cerr := jsonF.Close(); cerr != nil && err == nil {
 			err = cerr
@@ -244,29 +243,10 @@ func main() {
 		// Completed experiments were already flushed in id order; the
 		// side files stop mid-write on cancellation, so remove them
 		// rather than leave truncated artifacts behind.
-		removePartials(os.Stderr, *jsonOut, *cpuprofile, *memprofile, *exectrace, *runmetrics)
-		fmt.Fprintln(os.Stderr, "hirise-bench: interrupted")
-		os.Exit(1)
+		obs.RemovePartials(stderr, *jsonOut, *cpuprofile, *memprofile, *exectrace, *runmetrics)
+		return fail(1, "hirise-bench: interrupted")
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-}
-
-// removePartials deletes the side files an interrupted run may have
-// left half-written (missing files are fine).
-func removePartials(errw io.Writer, paths ...string) {
-	for _, p := range paths {
-		if p == "" {
-			continue
-		}
-		if err := os.Remove(p); err == nil {
-			fmt.Fprintf(errw, "removed partial %s\n", p)
-		} else if !errors.Is(err, os.ErrNotExist) {
-			fmt.Fprintf(errw, "removing partial %s: %v\n", p, err)
-		}
-	}
+	return done(err)
 }
 
 // resolveIDs expands and validates the -run specification against the
@@ -377,12 +357,7 @@ func renderOne(ctx context.Context, st *store.Store, buf *bytes.Buffer, id strin
 		tb, err := renderFresh(ctx, buf, id, opts, format, plotIt)
 		return tb, false, err
 	}
-	key, err := st.KeyOf("bench", struct {
-		ID     string                    `json:"id"`
-		Opts   hirise.ExperimentCacheKey `json:"opts"`
-		Format string                    `json:"format"`
-		Plot   bool                      `json:"plot"`
-	}{id, opts.CacheKey(), format, plotIt})
+	key, err := spec.BenchKey{ID: id, Opts: opts.CacheKey(), Format: format, Plot: plotIt}.Key(st)
 	if err != nil {
 		return nil, false, err
 	}
@@ -410,14 +385,10 @@ func renderFresh(ctx context.Context, buf *bytes.Buffer, id string, opts hirise.
 	if err != nil {
 		return nil, err
 	}
-	switch format {
-	case "csv":
-		return tb, tb.WriteCSV(buf)
-	case "json":
-		return tb, tb.WriteJSON(buf)
+	if err := tb.Render(buf, format); err != nil {
+		return nil, err
 	}
-	tb.Fprint(buf)
-	if plotIt {
+	if plotIt && format == "text" {
 		ok, err := tb.RenderPlot(buf, 72, 20)
 		if err != nil {
 			return nil, err

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -154,5 +156,69 @@ func TestRunExperimentsWorkerCountInvariance(t *testing.T) {
 				t.Errorf("%s: workers=%d stdout differs from serial", format, w)
 			}
 		}
+	}
+}
+
+// TestGoldenStoreKeys: each rendering in the key corpus, recorded before
+// the bench key payload moved into internal/spec, is stored under the
+// same key, so existing -store directories keep replaying.
+func TestGoldenStoreKeys(t *testing.T) {
+	b, err := os.ReadFile("../../internal/spec/testdata/keys.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var corpus []struct {
+		Name  string `json:"name"`
+		Bench *struct {
+			ID           string  `json:"id"`
+			Quick        bool    `json:"quick"`
+			Format       string  `json:"format"`
+			Plot         bool    `json:"plot"`
+			Seed         *uint64 `json:"seed"`
+			Warmup       *int64  `json:"warmup"`
+			Measure      *int64  `json:"measure"`
+			ConvergeStop bool    `json:"converge_stop"`
+		} `json:"bench"`
+		Key string `json:"key"`
+	}
+	if err := json.Unmarshal(b, &corpus); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, e := range corpus {
+		if e.Bench == nil {
+			continue
+		}
+		n++
+		dir := t.TempDir()
+		args := []string{"-run", e.Bench.ID, "-store", dir, "-parallel", "2"}
+		for flag, on := range map[string]bool{"-quick": e.Bench.Quick, "-plot": e.Bench.Plot, "-converge-stop": e.Bench.ConvergeStop} {
+			if on {
+				args = append(args, flag)
+			}
+		}
+		if e.Bench.Format != "" {
+			args = append(args, "-format", e.Bench.Format)
+		}
+		if e.Bench.Seed != nil {
+			args = append(args, "-seed", fmt.Sprint(*e.Bench.Seed))
+		}
+		if e.Bench.Warmup != nil {
+			args = append(args, "-warmup", fmt.Sprint(*e.Bench.Warmup))
+		}
+		if e.Bench.Measure != nil {
+			args = append(args, "-measure", fmt.Sprint(*e.Bench.Measure))
+		}
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("%s: exit %d\n%s", e.Name, code, errb.String())
+		}
+		paths, _ := filepath.Glob(filepath.Join(dir, "*", "*.res"))
+		if len(paths) != 1 || strings.TrimSuffix(filepath.Base(paths[0]), ".res") != e.Key {
+			t.Errorf("%s: stored %v, want key %s", e.Name, paths, e.Key)
+		}
+	}
+	if n == 0 {
+		t.Fatal("no hirise-bench entries in the key corpus")
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"strconv"
@@ -108,4 +109,22 @@ func (t *Table) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(t)
+}
+
+// Formats lists the renderings Render accepts.
+var Formats = []string{"text", "csv", "json"}
+
+// Render writes the table in one of Formats: the aligned text table,
+// CSV, or indented JSON.
+func (t *Table) Render(w io.Writer, format string) error {
+	switch format {
+	case "text":
+		t.Fprint(w)
+		return nil
+	case "csv":
+		return t.WriteCSV(w)
+	case "json":
+		return t.WriteJSON(w)
+	}
+	return fmt.Errorf("unknown format %q (want one of %v)", format, Formats)
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -83,23 +84,13 @@ func StartProfiles(pc ProfileConfig) (stop func() error, err error) {
 			keep(traceF.Close())
 		}
 		if pc.MemProfile != "" {
-			f, err := os.Create(pc.MemProfile)
-			if err != nil {
-				keep(err)
-			} else {
+			keep(WriteFile(pc.MemProfile, func(w io.Writer) error {
 				runtime.GC() // up-to-date allocation statistics
-				keep(pprof.WriteHeapProfile(f))
-				keep(f.Close())
-			}
+				return pprof.WriteHeapProfile(w)
+			}))
 		}
 		if pc.RuntimeMetrics != "" {
-			f, err := os.Create(pc.RuntimeMetrics)
-			if err != nil {
-				keep(err)
-			} else {
-				keep(WriteRuntimeMetrics(f))
-				keep(f.Close())
-			}
+			keep(WriteFile(pc.RuntimeMetrics, WriteRuntimeMetrics))
 		}
 		return firstErr
 	}, nil
@@ -169,5 +160,37 @@ func Heartbeat(w io.Writer, interval time.Duration, progress func() string) (sto
 			close(done)
 			wg.Wait()
 		})
+	}
+}
+
+// WriteFile creates path and runs write over it, naming the path in any
+// error: a side file that silently vanishes is worse than none.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	return nil
+}
+
+// RemovePartials deletes the side files an interrupted run may have left
+// half-written, reporting each to errw (missing files are fine).
+func RemovePartials(errw io.Writer, paths ...string) {
+	for _, p := range paths {
+		if p == "" {
+			continue
+		}
+		if err := os.Remove(p); err == nil {
+			fmt.Fprintf(errw, "removed partial %s\n", p)
+		} else if !errors.Is(err, os.ErrNotExist) {
+			fmt.Fprintf(errw, "removing partial %s: %v\n", p, err)
+		}
 	}
 }

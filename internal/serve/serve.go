@@ -309,11 +309,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if err := req.normalize(); err != nil {
+	if err := req.Normalize(); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	key, err := s.keyOf(req)
+	key, err := req.Key(s.store)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return

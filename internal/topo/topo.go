@@ -156,6 +156,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("topo: scheme %v is a VOQ crossbar scheduler (sim.RunVOQ), not a hierarchical switch scheme", c.Scheme)
 	case c.Scheme == CLRG && c.Classes < 2:
 		return fmt.Errorf("topo: CLRG needs at least 2 classes, have %d", c.Classes)
+	case c.Scheme == CLRG && c.Classes > 256:
+		return fmt.Errorf("topo: CLRG class count %d exceeds the 8-bit class counters", c.Classes)
 	case c.Alloc == InputBinned && c.Layers > 1 && c.PortsPerLayer()%c.Channels != 0:
 		return fmt.Errorf("topo: ports per layer %d not divisible by channels %d for input binning",
 			c.PortsPerLayer(), c.Channels)
