@@ -287,8 +287,10 @@ func TestBackpressure(t *testing.T) {
 	waitState(t, ts, queued.ID, "done", func(s serve.Status) bool { return s.State.Terminal() })
 }
 
-// TestBadRequests: malformed bodies and invalid enums are rejected with
-// 400 before anything is queued.
+// TestBadRequests: malformed bodies, invalid enums, and jobs whose
+// computation would panic in a worker (an index or allocation panic) or
+// whose range would stall the submit handler are rejected with 400
+// before anything is queued, and the daemon keeps serving.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, serve.Config{})
 	for _, body := range []string{
@@ -299,6 +301,15 @@ func TestBadRequests(t *testing.T) {
 		`{"kind":"loadsweep","loads":[0.1],"lo":0.1,"hi":0.2,"step":0.1}`,
 		`{"kind":"experiment","experiment":"no-such-experiment"}`,
 		`{"kind":"experiment","experiment":"table1","format":"yaml"}`,
+		`{"kind":"loadsweep","design":"2d","radix":8,"traffic":"hotspot","target":99,"loads":[0.1]}`,
+		`{"kind":"loadsweep","design":"2d","radix":-3,"loads":[0.1]}`,
+		`{"kind":"loadsweep","design":"2d","radix":8,"lo":0,"hi":1,"step":1e-8}`,
+		`{"kind":"loadsweep","design":"2d","radix":8,"loads":[-0.1]}`,
+		`{"kind":"loadsweep","design":"2d","radix":8,"loads":[0.1],"warmup":-1}`,
+		`{"kind":"loadsweep","design":"2d","radix":8,"loads":[0.1],"measure":-5}`,
+		`{"kind":"loadsweep","design":"2d","radix":8,"traffic":"adversarial","loads":[0.1]}`,
+		`{"kind":"loadsweep","design":"folded","radix":10,"loads":[0.1]}`,
+		`{"kind":"loadsweep","classes":300,"loads":[0.1]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -310,6 +321,16 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("body %s: HTTP %d, want 400", body, resp.StatusCode)
 		}
 	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz: HTTP %d after the rejected jobs", resp.StatusCode)
+	}
+	st := submit(t, ts, quickSweep())
+	waitState(t, ts, st.ID, "done", func(s serve.Status) bool { return s.State == serve.Done })
 }
 
 // TestEventStream: the NDJSON stream carries the job's lifecycle in
