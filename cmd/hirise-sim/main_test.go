@@ -123,6 +123,8 @@ func TestRejectsBadJobs(t *testing.T) {
 		{[]string{"-load", "-0.5"}, "-load"},
 		{[]string{"-sweep", "0:1:0.0001"}, "-sweep"},
 		{[]string{"-warmup", "-1"}, "-warmup"},
+		{[]string{"-vcs", "1000000000"}, "-vcs"},
+		{[]string{"-flits", "-1"}, "-flits"},
 	} {
 		var out, errb bytes.Buffer
 		code := run(append(c.args, "-measure", "400"), &out, &errb)

@@ -480,19 +480,13 @@ func Mixes() []Mix { return trace.TableVIMixes() }
 // NoC composition (paper §VI-E, Fig 13).
 type (
 	// MeshConfig describes a 2D mesh of switches (Hi-Rise or crossbar
-	// nodes) with concentration and credit-based flow control.
+	// nodes) with concentration and credit-based flow control; its
+	// Topology, when set, is a FabricMesh or FabricFlattenedButterfly.
 	MeshConfig = noc.Config
 	// Mesh is one mesh network instance.
 	Mesh = noc.Network
 	// MeshResult reports a mesh simulation.
 	MeshResult = noc.Result
-	// Topology wires a network of switches; MeshTopology and
-	// FlattenedButterflyTopology are the built-in instances.
-	Topology = noc.Topology
-	// MeshTopology is the Fig 13 2D mesh.
-	MeshTopology = noc.Mesh
-	// FlattenedButterflyTopology is the §VI-E comparison topology.
-	FlattenedButterflyTopology = noc.FlattenedButterfly
 )
 
 // NewMesh builds a mesh network-on-chip from the configuration.

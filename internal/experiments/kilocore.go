@@ -5,6 +5,7 @@ import (
 
 	"github.com/reprolab/hirise/internal/core"
 	"github.com/reprolab/hirise/internal/crossbar"
+	"github.com/reprolab/hirise/internal/fabric"
 	"github.com/reprolab/hirise/internal/noc"
 	"github.com/reprolab/hirise/internal/phys"
 	"github.com/reprolab/hirise/internal/sim"
@@ -38,7 +39,7 @@ func Kilocore(o Opts) *Table {
 	// The flattened butterfly the paper compares against (§VI-E): same
 	// 4x4 grid and concentration, but 2D Swizzle-Switch nodes with
 	// direct row/column links (radix 48 + 6*2 = 60).
-	fbTopo := noc.FlattenedButterfly{W: 4, H: 4, Conc: 48, Lanes: 2}
+	fbTopo := fabric.FlattenedButterfly{W: 4, H: 4, Conc: 48, Lanes: 2}
 	fbPhys := phys.Flat2D(fbTopo.Radix(), o.Tech)
 
 	tops := []topology{

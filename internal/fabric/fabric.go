@@ -519,6 +519,10 @@ func (n *network) resolve(ni int, pkt *packet, h *headRoute) bool {
 func (n *network) run() (Result, error) {
 	cfg := n.cfg
 	obsOn := cfg.Obs != nil
+	// Per-hop and per-link handles are looked up lazily and cached per
+	// network. Without a registry there is nothing to cache: a shared
+	// stand-in would be written by every concurrent sweep point.
+	perHop := obsOn && cfg.Obs.Metrics != nil
 	n.rec = cfg.Obs.Rec()
 	n.mInjected = cfg.Obs.Counter("fabric.packets.injected")
 	n.mDelivered = cfg.Obs.Counter("fabric.packets.delivered")
@@ -529,7 +533,7 @@ func (n *network) run() (Result, error) {
 	n.mDead = cfg.Obs.Counter("fabric.packets.dead")
 	n.mLatency = cfg.Obs.Histogram("fabric.latency.cycles", 4, 4096)
 	cfg.Obs.Gauge("fabric.offered.load").Set(cfg.Load)
-	if obsOn {
+	if perHop {
 		n.linkBusy = make([]*obs.Counter, len(n.nodes)*n.radix)
 	}
 
@@ -601,7 +605,7 @@ func (n *network) run() (Result, error) {
 				n.inNet--
 				pkt.hops++
 				out := nd.connOut[in]
-				if obsOn && out >= n.conc {
+				if perHop && out >= n.conc {
 					n.linkBusyCounter(ni, out).Add(int64(cfg.PacketFlits) + 1)
 				}
 				if out < n.conc {
@@ -619,7 +623,7 @@ func (n *network) run() (Result, error) {
 					n.tDelivered.Inc()
 					n.tFlits.Add(int64(cfg.PacketFlits))
 					n.mLatency.Observe(float64(lat))
-					if obsOn {
+					if perHop {
 						n.hopHistFor(int(pkt.hops)).Observe(float64(lat))
 					}
 					n.rec.Record(cycle, obs.EvEject, int(pkt.dest), int(pkt.dest), int(lat))
@@ -819,42 +823,27 @@ func (n *network) run() (Result, error) {
 }
 
 // hopHistFor returns (creating lazily) the per-hop-count latency
-// histogram. Only called when an observer is attached.
+// histogram. Only called when the observer has a metrics registry.
 func (n *network) hopHistFor(hops int) *obs.Histogram {
 	for hops >= len(n.hopHist) {
 		n.hopHist = append(n.hopHist, nil)
 	}
 	if n.hopHist[hops] == nil {
 		n.hopHist[hops] = n.cfg.Obs.Histogram(fmt.Sprintf("fabric.latency.hops=%02d", hops), 4, 4096)
-		if n.hopHist[hops] == nil {
-			// No metrics registry attached: cache a no-op histogram so
-			// the lookup stays cheap.
-			n.hopHist[hops] = noopHist
-		}
 	}
 	return n.hopHist[hops]
 }
 
-// noopHist absorbs per-hop observations when the observer carries no
-// metrics registry; Observe on it is harmless.
-var noopHist = &obs.Histogram{}
-
 // linkBusyCounter returns (creating lazily) the busy-cycle counter for
-// output port out of router ni. Only called when an observer is
-// attached; links that never carry traffic never appear.
+// output port out of router ni. Only called when the observer has a
+// metrics registry; links that never carry traffic never appear.
 func (n *network) linkBusyCounter(ni, out int) *obs.Counter {
 	id := ni*n.radix + out
 	if n.linkBusy[id] == nil {
-		c := n.cfg.Obs.Counter(fmt.Sprintf("fabric.link.busy[n%03d.p%02d]", ni, out))
-		if c == nil {
-			c = noopCounter
-		}
-		n.linkBusy[id] = c
+		n.linkBusy[id] = n.cfg.Obs.Counter(fmt.Sprintf("fabric.link.busy[n%03d.p%02d]", ni, out))
 	}
 	return n.linkBusy[id]
 }
-
-var noopCounter = &obs.Counter{}
 
 // LoadSweep runs the configuration at each load on at most workers
 // concurrent simulations and returns results in load order. Each point

@@ -103,6 +103,29 @@ func TestLoadSweepWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestTraceOnlySweepSharesNoSinks runs a sweep whose per-point
+// observers carry a trace recorder but no metrics registry, as
+// `hirise-sim -design fabric -sweep … -trace-jsonl f` without -metrics
+// does. Points run concurrently, so any sink they share is a data race
+// under -race; each point must still record its own trace.
+func TestTraceOnlySweepSharesNoSinks(t *testing.T) {
+	cfg := baseConfig(Mesh{W: 3, H: 3, Conc: 2, Lanes: 2})
+	cfg.Measure = 1000
+	loads := []float64{0.3, 0.6, 0.9, 1.0}
+	obsv := make([]*obs.Observer, len(loads))
+	for i := range obsv {
+		obsv[i] = &obs.Observer{Trace: obs.NewRecorder(1 << 10)}
+	}
+	if _, err := LoadSweepObserved(cfg, loads, 4, func(i int) *obs.Observer { return obsv[i] }); err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range obsv {
+		if len(o.Trace.Events()) == 0 {
+			t.Fatalf("point %d recorded no trace events", i)
+		}
+	}
+}
+
 // TestObsDoesNotPerturb pins the nil-safe observability contract: an
 // attached observer changes no simulated behaviour, and the fabric's
 // counters and per-hop latency histograms actually fill.

@@ -3,10 +3,11 @@
 // other implementation) wired by a pluggable Topology, with credit-based
 // link-level flow control over bounded per-VC input buffers and
 // deadlock freedom by virtual-channel ordering (dateline classes).
-// It scales the paper's §VI-E kilo-core sketch from the side model in
-// internal/noc into a first-class simulator with the same planes as
-// internal/sim: faults, observability, telemetry, and deterministic
-// parallel sweeps.
+// It scales the paper's §VI-E kilo-core sketch into a first-class
+// simulator with the same planes as internal/sim: faults,
+// observability, telemetry, and deterministic parallel sweeps. Its
+// Mesh and FlattenedButterfly are shared with internal/noc, which runs
+// kilocore's store-and-forward network over them.
 //
 // Deadlock-freedom argument (see DESIGN.md §25): every topology assigns
 // each hop a VC class that never decreases along a route, and routes
@@ -169,8 +170,8 @@ func opposite(dir int) int {
 }
 
 // Mesh is a W×H 2D mesh with XY dimension-ordered routing and Lanes
-// parallel links per direction — the paper's Fig 13 shape, promoted
-// from internal/noc. XY order within a VC class keeps the buffer
+// parallel links per direction — the paper's Fig 13 shape, shared with
+// internal/noc. XY order within a VC class keeps the buffer
 // dependency graph acyclic; Valiant adds a second class at the
 // waypoint dateline (XY to the via in class 0, XY to the destination
 // in class 1).
@@ -327,7 +328,7 @@ func (m Mesh) validate() error {
 // FlattenedButterfly is a W×H grid where every router links directly to
 // every other router in its row and in its column: any destination is
 // at most two link hops away (row then column, dimension ordered —
-// promoted from internal/noc). Valiant adds a second class at the
+// shared with internal/noc). Valiant adds a second class at the
 // waypoint dateline, like the mesh.
 //
 // Port layout per router: Conc local ports, then (W-1)*Lanes row links

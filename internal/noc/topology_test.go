@@ -4,11 +4,17 @@ import (
 	"testing"
 
 	"github.com/reprolab/hirise/internal/crossbar"
+	"github.com/reprolab/hirise/internal/fabric"
 	"github.com/reprolab/hirise/internal/sim"
 )
 
-func fbfly(w, h, conc, lanes int) Config {
-	t := FlattenedButterfly{W: w, H: h, Conc: conc, Lanes: lanes}
+// Port layout, link wiring and per-topology route order are
+// internal/fabric's and tested there (TestRouteCandidatesOnShortestPaths,
+// TestLinkDestMirror, TestRouteTablesMatchTopology). The tests here pin
+// what noc adds on top: local delivery at the destination node, the
+// core-to-router mapping, and network-level behaviour.
+
+func withTopo(t fabric.Topology) Config {
 	return Config{
 		Topology:  t,
 		NewSwitch: func() sim.Switch { return crossbar.New(t.Radix()) },
@@ -16,34 +22,80 @@ func fbfly(w, h, conc, lanes int) Config {
 	}
 }
 
-func TestFBflyRadix(t *testing.T) {
-	f := FlattenedButterfly{W: 4, H: 4, Conc: 48, Lanes: 2}
-	// 48 local + (3+3)*2 links = 60.
-	if got := f.Radix(); got != 60 {
-		t.Fatalf("radix %d, want 60", got)
+func fbfly(w, h, conc, lanes int) Config {
+	return withTopo(fabric.FlattenedButterfly{W: w, H: h, Conc: conc, Lanes: lanes})
+}
+
+// checkRoutesMakeProgress asserts, for every (node, destination core)
+// pair and every lane the flow hash can pick, that pickRoute on an idle
+// network returns exactly the local delivery port at the destination
+// node, and elsewhere a link landing on a router strictly closer to it.
+func checkRoutesMakeProgress(t *testing.T, topo fabric.Topology) {
+	t.Helper()
+	n, err := New(withTopo(topo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, conc := topo.Nodes(), topo.Concentration()
+	for node := 0; node < nodes; node++ {
+		for destCore := 0; destCore < nodes*conc; destCore++ {
+			dNode := destCore / conc
+			for flow := 0; flow < topo.LaneCount(); flow++ {
+				out := n.pickRoute(node, packet{destCore: destCore, flow: uint32(flow)})
+				if node == dNode {
+					if out != destCore%conc {
+						t.Fatalf("%+v node %d -> local core %d: port %d, want %d", topo, node, destCore, out, destCore%conc)
+					}
+					continue
+				}
+				if out < conc || out >= topo.Radix() {
+					t.Fatalf("%+v node %d -> core %d: port %d is not a link port", topo, node, destCore, out)
+				}
+				nb, _ := topo.LinkDest(node, out)
+				if nb != dNode && topo.MinimalHops(nb, dNode) >= topo.MinimalHops(node, dNode) {
+					t.Fatalf("%+v node %d -> core %d via port %d: hop to %d is not closer", topo, node, destCore, out, nb)
+				}
+			}
+		}
 	}
 }
 
-// TestFBflyLinkSymmetry checks every link is bidirectionally consistent:
-// following LinkDest from (node, out) and then routing back lands on a
-// port whose LinkDest returns the original node.
-func TestFBflyLinkSymmetry(t *testing.T) {
-	f := FlattenedButterfly{W: 3, H: 4, Conc: 2, Lanes: 2}
-	for node := 0; node < f.Nodes(); node++ {
-		for out := f.Conc; out < f.Radix(); out++ {
-			nb, inPort := f.LinkDest(node, out)
-			if nb < 0 || nb >= f.Nodes() || nb == node {
-				t.Fatalf("node %d out %d: bad neighbour %d", node, out, nb)
-			}
-			if inPort < f.Conc || inPort >= f.Radix() {
-				t.Fatalf("node %d out %d: bad input port %d", node, out, inPort)
-			}
-			// The reverse port on nb must point back at node.
-			back, backIn := f.LinkDest(nb, inPort)
-			if back != node || backIn != out {
-				t.Fatalf("link (%d,%d)->(%d,%d) not symmetric: reverse gives (%d,%d)",
-					node, out, nb, inPort, back, backIn)
-			}
+func TestMeshCandidatesMakeProgress(t *testing.T) {
+	for _, m := range []fabric.Mesh{
+		{W: 1, H: 1, Conc: 2, Lanes: 1},
+		{W: 3, H: 3, Conc: 2, Lanes: 1},
+		{W: 4, H: 2, Conc: 1, Lanes: 3},
+		{W: 2, H: 5, Conc: 3, Lanes: 2},
+	} {
+		checkRoutesMakeProgress(t, m)
+	}
+}
+
+func TestFBflyCandidatesMakeProgress(t *testing.T) {
+	for _, f := range []fabric.FlattenedButterfly{
+		{W: 2, H: 1, Conc: 1, Lanes: 1},
+		{W: 3, H: 4, Conc: 2, Lanes: 2},
+		{W: 4, H: 4, Conc: 1, Lanes: 3},
+		{W: 5, H: 2, Conc: 3, Lanes: 1},
+	} {
+		checkRoutesMakeProgress(t, f)
+	}
+}
+
+// TestFBflyRoutesRowFirst pins the hop order noc's deadlock freedom
+// rests on: with no VCs, bounded buffers stay live only because every
+// route is dimension ordered.
+func TestFBflyRoutesRowFirst(t *testing.T) {
+	n, err := New(fbfly(4, 4, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node 0 (0,0) -> core at node 15 (3,3): first hop must be the row
+	// link toward column 3, then the column link to (3,3).
+	pkt := packet{destCore: 15 * 2}
+	for _, hop := range []struct{ from, to int }{{0, 3}, {3, 15}} {
+		if nb, _ := n.topo.LinkDest(hop.from, n.pickRoute(hop.from, pkt)); nb != hop.to {
+			t.Fatalf("hop from node %d goes to node %d, want %d (row first)", hop.from, nb, hop.to)
 		}
 	}
 }
@@ -52,8 +104,7 @@ func TestFBflyLinkSymmetry(t *testing.T) {
 // reaches its destination in at most 3 switch traversals (row hop,
 // column hop, local delivery at the destination node).
 func TestFBflyDiameterTwo(t *testing.T) {
-	cfg := fbfly(4, 4, 2, 1)
-	n, err := New(cfg)
+	n, err := New(fbfly(4, 4, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,29 +117,8 @@ func TestFBflyDiameterTwo(t *testing.T) {
 	}
 }
 
-func TestFBflyRoutesRowFirst(t *testing.T) {
-	f := FlattenedButterfly{W: 4, H: 4, Conc: 2, Lanes: 1}
-	// Node 0 (0,0) -> core at node 15 (3,3): first hop must be the row
-	// link toward column 3.
-	cand := f.RouteCandidates(nil, 0, 15*2)
-	if len(cand) != 1 {
-		t.Fatalf("candidates %v", cand)
-	}
-	nb, _ := f.LinkDest(0, cand[0])
-	if nb != 3 { // node (3,0)
-		t.Fatalf("first hop to node %d, want 3 (row first)", nb)
-	}
-	// From (3,0) the next hop is the column link to (3,3).
-	cand = f.RouteCandidates(nil, 3, 15*2)
-	nb, _ = f.LinkDest(3, cand[0])
-	if nb != 15 {
-		t.Fatalf("second hop to node %d, want 15", nb)
-	}
-}
-
 func TestFBflyFewerHopsThanMesh(t *testing.T) {
-	meshCfg := smallMesh(4, 4, 2, 1)
-	mesh, err := New(meshCfg)
+	mesh, err := New(smallMesh(4, 4, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,24 +144,12 @@ func TestFBflyBoundedBuffersLive(t *testing.T) {
 	}
 }
 
-func TestFBflyValidate(t *testing.T) {
-	bad := fbfly(1, 4, 2, 1) // W < 2 has no row links
-	if _, err := New(bad); err == nil {
-		t.Error("degenerate flattened butterfly accepted")
-	}
-}
-
 func TestExplicitMeshTopologyMatchesImplicit(t *testing.T) {
 	imp, err := New(smallMesh(3, 3, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	expCfg := Config{
-		Topology:  Mesh{W: 3, H: 3, Conc: 2, Lanes: 1},
-		NewSwitch: func() sim.Switch { return crossbar.New(6) },
-		Warmup:    2000, Measure: 8000, Seed: 1,
-	}
-	exp, err := New(expCfg)
+	exp, err := New(withTopo(fabric.Mesh{W: 3, H: 3, Conc: 2, Lanes: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,6 +79,9 @@ const (
 	// MaxRadix bounds the switch radix; arbitration state grows with its
 	// square.
 	MaxRadix = 256
+	// MaxVCs bounds the virtual channels per input port, as the fabric
+	// does: every port allocates a slot per VC.
+	MaxVCs = 64
 )
 
 // Defaults returns the value every zero load-sweep field takes in
@@ -189,6 +192,10 @@ func (j *Job) Check() error {
 		return fieldErr("loads", "must be finite and at least 0")
 	case j.Radix < 1 || j.Radix > MaxRadix:
 		return fieldErr("radix", "%d is outside [1, %d]", j.Radix, MaxRadix)
+	case j.VCs < 0 || j.VCs > MaxVCs:
+		return fieldErr("vcs", "%d is outside [0, %d]", j.VCs, MaxVCs)
+	case j.Flits < 0:
+		return fieldErr("flits", "%d is negative", j.Flits)
 	case j.Warmup < 0:
 		return fieldErr("warmup", "%d is negative", j.Warmup)
 	case j.Measure < 0:

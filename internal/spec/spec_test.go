@@ -68,6 +68,9 @@ func TestNormalizeRejects(t *testing.T) {
 		{`{"kind":"loadsweep","design":"2d","radix":8,"lo":0,"hi":1,"step":1e-8}`, "loads"},
 		{`{"kind":"loadsweep","design":"2d","radix":8,"lo":0,"hi":1000,"step":1}`, "loads"},
 		{`{"kind":"loadsweep","design":"2d","radix":8,"loads":[0.1,-0.2]}`, "loads"},
+		{`{"kind":"loadsweep","design":"2d","radix":8,"vcs":1000000000,"loads":[0.1]}`, "vcs"},
+		{`{"kind":"loadsweep","design":"2d","radix":8,"vcs":-1,"loads":[0.1]}`, "vcs"},
+		{`{"kind":"loadsweep","design":"2d","radix":8,"flits":-4,"loads":[0.1]}`, "flits"},
 		{`{"kind":"loadsweep","design":"2d","radix":8,"loads":[0.1],"warmup":-1}`, "warmup"},
 		{`{"kind":"loadsweep","design":"2d","radix":8,"loads":[0.1],"measure":-1}`, "measure"},
 		{`{"kind":"loadsweep","design":"2d","radix":8,"traffic":"adversarial","loads":[0.1]}`, "radix"},
